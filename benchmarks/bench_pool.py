@@ -20,14 +20,13 @@ An open-loop leg drives a smaller fleet with Poisson arrivals at 70% of
 pool capacity through the same engine (arrival timestamps instead of
 closed-loop think times).
 
-Output: ``BENCH_pool.json``.  Smoke mode (``CAVA_POOL_SMOKE=1``)
-shrinks per-VM demand but keeps the full 200-VM fleet and all gates.
+Virtual time is deterministic, so the sweep must also reproduce the
+stored ``BENCH_pool.json`` exactly; the gate compares against it and
+writes nothing.
 """
 
 import json
 import os
-
-import pytest
 
 from repro.harness.loadgen import PoissonArrivals
 from repro.harness.pool import (
@@ -41,12 +40,13 @@ from repro.hypervisor.scheduler import jain_fairness
 from repro.telemetry.metrics import percentile
 from repro.workloads import BFSWorkload, HotspotWorkload
 
-SMOKE = os.environ.get("CAVA_POOL_SMOKE") == "1"
+#: the stored sweep every run must reproduce
+STORED = os.path.join(os.path.dirname(__file__), "BENCH_pool.json")
 
 #: fleet size (the acceptance gate requires >= 200 VMs)
 VM_COUNT = 200
 #: per-VM demand: replays of the busiest base trace
-REPEATS = 1 if SMOKE else 2
+REPEATS = 2
 #: workload scale for the Rodinia traces
 SCALE = 0.25
 #: open-loop leg size
@@ -162,7 +162,6 @@ def run_open_loop_leg(bases):
 def run_sweep():
     bases = base_traces()
     return {
-        "smoke": SMOKE,
         "devices": [
             {"class": c.name, "compute_scale": c.compute_scale,
              "transfer_scale": c.transfer_scale,
@@ -203,22 +202,29 @@ def check_gates(payload):
     )
 
 
+def check_stored(payload):
+    """The sweep must equal the stored file exactly, floats included
+    (a JSON round trip normalizes tuples to lists)."""
+    with open(STORED, encoding="utf-8") as handle:
+        stored = json.load(handle)
+    assert json.loads(json.dumps(payload)) == stored, (
+        "pool sweep no longer reproduces BENCH_pool.json"
+    )
+
+
 def test_pool_gate():
-    """Fixture-free CI gate: run the sweep, assert, write the JSON."""
+    """Fixture-free CI gate: run the full sweep, assert the gates and
+    exact equality with the stored file."""
     payload = run_sweep()
-    path = os.path.join(os.path.dirname(__file__), "BENCH_pool.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     check_gates(payload)
+    check_stored(payload)
 
 
-@pytest.mark.skipif(SMOKE, reason="smoke mode runs only the gate test")
-def test_pool_sweep(once, bench_json):
+def test_pool_sweep(once):
     """The full sweep under pytest-benchmark, printing the tables."""
     payload = once(run_sweep)
-    bench_json("pool", payload)
     check_gates(payload)
+    check_stored(payload)
 
     from conftest import print_table
 

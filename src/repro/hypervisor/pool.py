@@ -26,12 +26,15 @@ the only currency comparable across a heterogeneous pool.
 
 from __future__ import annotations
 
+import heapq
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy
 from repro.hypervisor.scheduler import (
     FairShareScheduler,
+    Scheduler,
     StreamStats,
     WorkItem,
 )
@@ -394,6 +397,82 @@ class PoolRunResult:
         return self.total_nominal / self.makespan if self.makespan else 0.0
 
 
+class _Member:
+    """Engine-side state of one pool member during a run."""
+
+    __slots__ = ("device", "device_id", "policy", "stats", "free_at",
+                 "start", "waiting", "ready", "fits")
+
+    def __init__(self, device: PooledDevice, policy: Scheduler) -> None:
+        self.device = device
+        self.device_id = device.device_id
+        self.policy = policy
+        self.stats = DeviceStats(
+            device_id=device.device_id,
+            device_class=device.device_class.name,
+            compute_scale=device.device_class.compute_scale,
+        )
+        self.free_at = 0.0
+        #: earliest start among homed pending items (this event)
+        self.start = 0.0
+        #: (release, entry, stream) of homed items not yet released;
+        #: an entry is live while its stream still holds its number
+        self.waiting: List[Tuple[float, int, _Stream]] = []
+        #: homed streams whose next item is released, by VM id
+        self.ready: Dict[str, _Stream] = {}
+        #: VM id -> whether this member can reserve the VM's memory
+        self.fits: Dict[str, bool] = {}
+
+
+class _Stream:
+    """Engine-side state of one VM's stream during a run."""
+
+    __slots__ = ("vm", "order", "items", "home", "arrivals", "quota",
+                 "index", "submit", "release", "entry", "nominal")
+
+    def __init__(self, vm: str, order: int, items: List[WorkItem],
+                 home: _Member, arrivals: Optional[Sequence[float]],
+                 quota: Optional[float]) -> None:
+        self.vm = vm
+        self.order = order
+        self.items = items
+        self.home = home
+        self.arrivals = arrivals
+        self.quota = quota
+        self.index = 0
+        #: submission time of the next item (before rate limiting)
+        self.submit = 0.0
+        if arrivals is not None and len(arrivals):
+            self.submit = arrivals[0]
+        self.release = 0.0
+        #: number of the live entry in the home's waiting heap (0: none)
+        self.entry = 0
+        #: nominal service received so far (the quota's currency)
+        self.nominal = 0.0
+
+
+_stream_order = operator.attrgetter("order")
+
+
+def _released_before(waiting: List[Tuple[float, int, _Stream]],
+                     limit: float, out: List[_Stream]) -> None:
+    """Append the streams of live ``waiting`` entries released before
+    ``limit``, visiting only heap entries below it."""
+    size = len(waiting)
+    stack = [0] if size else []
+    while stack:
+        at = stack.pop()
+        release, entry, stream = waiting[at]
+        if release < limit:
+            if stream.entry == entry:
+                out.append(stream)
+            child = 2 * at + 1
+            if child < size:
+                stack.append(child)
+                if child + 1 < size:
+                    stack.append(child + 1)
+
+
 class PoolScheduler:
     """Discrete-event engine over a :class:`DevicePool`.
 
@@ -406,6 +485,13 @@ class PoolScheduler:
     stolen service still counts against its home fair share.
     Per-tenant ``device_time`` quotas drop work beyond the allowance
     instead of queueing it.
+
+    The engine is event-indexed: each member keeps a heap of homed
+    items not yet released plus its pick policy's ready set, so an
+    event costs O(members + log VMs) except for the steal scan, which
+    visits only items released before the idlest member's own work
+    (see ``docs/scheduling.md``).  :class:`ContendedDevice` runs on the
+    same engine as a 1-member pool.
     """
 
     def __init__(
@@ -431,6 +517,23 @@ class PoolScheduler:
         completed (think times are ignored for such VMs).  Closed-loop
         VMs chain the next submission ``think_time`` after completion.
         """
+        policies = [FairShareScheduler(self.policy)
+                    for _ in self.pool.devices]
+        return self._run(streams, arrivals, policies,
+                         span_policy="PoolScheduler", span_op="pool",
+                         span_device=True)
+
+    def _run(
+        self,
+        streams: Dict[str, List[WorkItem]],
+        arrivals: Optional[Dict[str, Sequence[float]]],
+        policies: Sequence[Scheduler],
+        span_policy: str,
+        span_op: str,
+        span_device: bool,
+    ) -> PoolRunResult:
+        """The engine, with one pick policy per pool member and the
+        attributes of its per-item tracer spans."""
         if not streams:
             raise ValueError("no streams to schedule")
         if not self.pool.devices:
@@ -445,99 +548,85 @@ class PoolScheduler:
         # home every VM (deterministic order) and build per-device state
         for vm in sorted(streams):
             self.pool.place(vm)
-        home: Dict[str, PooledDevice] = {
-            vm: self.pool.assignments[vm] for vm in streams
-        }
-        free_at: Dict[str, float] = {
-            d.device_id: 0.0 for d in self.pool.devices
-        }
-        schedulers: Dict[str, FairShareScheduler] = {}
-        usage: Dict[str, Dict[str, float]] = {}
-        for device in self.pool.devices:
-            scheduler = FairShareScheduler(self.policy)
-            scheduler.reset()
-            schedulers[device.device_id] = scheduler
-            usage[device.device_id] = {}
+        members: List[_Member] = []
+        by_id: Dict[str, _Member] = {}
+        for device, policy in zip(self.pool.devices, policies):
+            policy.reset()
+            member = _Member(device, policy)
+            members.append(member)
+            by_id[device.device_id] = member
 
         stats = {vm: StreamStats(vm_id=vm) for vm in streams}
-        device_stats = {
-            d.device_id: DeviceStats(
-                device_id=d.device_id,
-                device_class=d.device_class.name,
-                compute_scale=d.device_class.compute_scale,
-            )
-            for d in self.pool.devices
-        }
         vm_items: Dict[str, List[Tuple[float, float]]] = {
             vm: [] for vm in streams
         }
         quota_dropped = {vm: 0 for vm in streams}
-        total_nominal = {vm: 0.0 for vm in streams}
-        index = {vm: 0 for vm in streams}
-        next_submit = {vm: 0.0 for vm in streams}
-        for vm, times in arrivals.items():
-            if vm in next_submit and len(times):
-                next_submit[vm] = times[0]
-        release_cache: Dict[str, Optional[float]] = {
-            vm: None for vm in streams
-        }
+        limiter = self.rate_limiter
+        entries = 0
+
+        def enqueue(stream: _Stream) -> None:
+            """Queue the stream's next item, or drop the rest of the
+            stream when it would overrun the tenant's quota."""
+            nonlocal entries
+            index = stream.index
+            items = stream.items
+            if index == len(items):
+                return
+            if (stream.quota is not None
+                    and stream.nominal + nominal_cost(items[index])
+                    > stream.quota):
+                quota_dropped[stream.vm] += len(items) - index
+                stream.index = len(items)
+                return
+            release = stream.submit
+            if limiter is not None:
+                release = limiter.next_allowed(stream.vm, release)
+            stream.release = release
+            entries += 1
+            stream.entry = entries
+            heapq.heappush(stream.home.waiting, (release, entries, stream))
+
+        for order, (vm, items) in enumerate(streams.items()):
+            limits = self.policy.policy_for(vm).resource_limits
+            enqueue(_Stream(
+                vm, order, items,
+                by_id[self.pool.assignments[vm].device_id],
+                arrivals.get(vm),
+                limits.get(DEVICE_TIME_QUOTA),
+            ))
+
+        tracer = _tele.active()
+        tracing = tracer.enabled
+        stealing = self.allow_stealing and len(members) > 1
+        inf = float("inf")
         steals = 0
         makespan = 0.0
 
-        def remaining(vm: str) -> bool:
-            return index[vm] < len(streams[vm])
-
-        def quota_of(vm: str) -> Optional[float]:
-            limits = self.policy.policy_for(vm).resource_limits
-            return limits.get(DEVICE_TIME_QUOTA)
-
         while True:
-            # per-tenant quota: drop (don't queue) work beyond the
-            # device-time allowance
-            for vm in streams:
-                if not remaining(vm):
-                    continue
-                quota = quota_of(vm)
-                if quota is None:
-                    continue
-                item = streams[vm][index[vm]]
-                if total_nominal[vm] + nominal_cost(item) > quota:
-                    quota_dropped[vm] += len(streams[vm]) - index[vm]
-                    index[vm] = len(streams[vm])
-                    release_cache[vm] = None
-
-            pending = [vm for vm in streams if remaining(vm)]
-            if not pending:
-                break
-
-            release: Dict[str, float] = {}
-            for vm in pending:
-                if release_cache[vm] is None:
-                    submit = next_submit[vm]
-                    if self.rate_limiter is not None:
-                        submit = self.rate_limiter.next_allowed(vm, submit)
-                    release_cache[vm] = submit
-                release[vm] = release_cache[vm]
-
             # -- natural dispatch: the member that can start earliest
-            # among its *homed* pending VMs
-            chosen_device: Optional[PooledDevice] = None
-            chosen_time = float("inf")
-            for device in self.pool.devices:
-                vms = [vm for vm in pending if home[vm] is device]
-                if not vms:
-                    continue
-                start = max(
-                    free_at[device.device_id],
-                    min(release[vm] for vm in vms),
-                )
+            # among its *homed* pending VMs.  Released items never
+            # postdate free_at, so a member with ready work starts then.
+            chosen: Optional[_Member] = None
+            chosen_time = inf
+            for member in members:
+                if member.ready:
+                    start = member.free_at
+                else:
+                    waiting = member.waiting
+                    while waiting and waiting[0][2].entry != waiting[0][1]:
+                        heapq.heappop(waiting)
+                    if not waiting:
+                        member.start = inf
+                        continue
+                    start = max(member.free_at, waiting[0][0])
+                member.start = start
                 if (start < chosen_time
-                        or (start == chosen_time and chosen_device is not None
-                            and device.device_id
-                            < chosen_device.device_id)):
+                        or (start == chosen_time and chosen is not None
+                            and member.device_id < chosen.device_id)):
                     chosen_time = start
-                    chosen_device = device
-            assert chosen_device is not None
+                    chosen = member
+            if chosen is None:
+                break
 
             # -- work stealing: the idlest member executes a *queued*
             # VM's next item in place of its backlogged home.  The VM's
@@ -545,115 +634,136 @@ class PoolScheduler:
             # service is charged to the home device's fair-share usage,
             # so within-device SFQ still converges on weighted shares of
             # the VM's total service.
-            steal_vm: Optional[str] = None
-            steal_start = float("inf")
-            stolen = False
-            if self.allow_stealing and len(self.pool.devices) > 1:
-                thief = min(
-                    self.pool.devices,
-                    key=lambda d: (free_at[d.device_id], d.device_id),
-                )
-                thief_free = free_at[thief.device_id]
-                own = [vm for vm in pending if home[vm] is thief]
-                own_start = (max(thief_free, min(release[vm] for vm in own))
-                             if own else float("inf"))
-                best_gain = 0.0
-                for vm in pending:
-                    owner = home[vm]
-                    if owner is thief:
-                        continue
-                    candidate_start = max(thief_free, release[vm])
-                    if candidate_start >= own_start:
-                        continue  # the thief has its own work by then
-                    if not thief.fits(self.pool._reservation(vm)):
-                        continue
-                    item = streams[vm][index[vm]]
-                    at_home = max(free_at[owner.device_id], release[vm])
-                    # stealing must improve *completion*, not just start
-                    gain = ((at_home + owner.wall_time(item))
-                            - (candidate_start + thief.wall_time(item)))
-                    if gain > best_gain + 1e-12 or (
-                            gain == best_gain and steal_vm is not None
-                            and vm < steal_vm):
-                        best_gain = gain
-                        steal_vm = vm
-                        steal_start = candidate_start
-                if steal_vm is not None and steal_start < chosen_time:
-                    chosen_device = thief
-                    chosen = steal_vm
-                    stolen = True
-                    steals += 1
+            stolen: Optional[_Stream] = None
+            if stealing:
+                thief = min(members,
+                            key=lambda m: (m.free_at, m.device_id))
+                thief_free = thief.free_at
+                own_start = thief.start
+                # only items released before the thief's own work can
+                # start there earlier; none can when it has work ready
+                if own_start > thief_free:
+                    candidates: List[_Stream] = []
+                    for member in members:
+                        if member is thief:
+                            continue
+                        for stream in member.ready.values():
+                            if stream.release < own_start:
+                                candidates.append(stream)
+                        _released_before(member.waiting, own_start,
+                                         candidates)
+                    # streams order: the 1e-12 tolerance below makes
+                    # the outcome depend on the visiting order
+                    candidates.sort(key=_stream_order)
+                    best_gain = 0.0
+                    steal_start = inf
+                    fits = thief.fits
+                    for stream in candidates:
+                        vm = stream.vm
+                        fit = fits.get(vm)
+                        if fit is None:
+                            fit = fits[vm] = thief.device.fits(
+                                self.pool._reservation(vm))
+                        if not fit:
+                            continue
+                        owner = stream.home
+                        release = stream.release
+                        candidate_start = max(thief_free, release)
+                        item = stream.items[stream.index]
+                        at_home = max(owner.free_at, release)
+                        # stealing must improve *completion*, not start
+                        gain = ((at_home + owner.device.wall_time(item))
+                                - (candidate_start
+                                   + thief.device.wall_time(item)))
+                        if gain > best_gain + 1e-12 or (
+                                gain == best_gain and stolen is not None
+                                and vm < stolen.vm):
+                            best_gain = gain
+                            stolen = stream
+                            steal_start = candidate_start
+                    if stolen is not None and steal_start >= chosen_time:
+                        stolen = None
 
-            device_id = chosen_device.device_id
-            if not stolen:
-                ready = [
-                    vm for vm in pending
-                    if home[vm] is chosen_device
-                    and release[vm] <= chosen_time
-                ]
-                ready.sort(key=lambda vm: (release[vm], vm))
-                chosen = schedulers[device_id].pick(ready, usage[device_id])
+            if stolen is not None:
+                stream = stolen
+                member = thief
+                steals += 1
+                owner = stream.home
+                if owner.ready.pop(stream.vm, None) is not None:
+                    owner.policy.leave(stream.vm)
+                else:
+                    stream.entry = 0
+            else:
+                member = chosen
+                waiting = member.waiting
+                while waiting and waiting[0][0] <= chosen_time:
+                    release, entry, stream = heapq.heappop(waiting)
+                    if stream.entry == entry:
+                        stream.entry = 0
+                        member.ready[stream.vm] = stream
+                        member.policy.enter(stream.vm, release)
+                stream = member.ready.pop(member.policy.pick())
 
-            item = streams[chosen][index[chosen]]
+            vm = stream.vm
+            item = stream.items[stream.index]
             nominal = nominal_cost(item)
-            wall = chosen_device.wall_time(item)
-            start = max(free_at[device_id], release[chosen])
+            wall = member.device.wall_time(item)
+            release = stream.release
+            start = max(member.free_at, release)
             end = start + wall
-            free_at[device_id] = end
+            member.free_at = end
             makespan = max(makespan, end)
             # fair-share usage accrues on the VM's *home* device, even
             # for stolen items — the home scheduler sees total service
-            home_id = home[chosen].device_id
-            usage[home_id][chosen] = (
-                usage[home_id].get(chosen, 0.0) + nominal
-            )
-            total_nominal[chosen] += nominal
+            stream.home.policy.charge(vm, nominal)
+            stream.nominal += nominal
 
-            tracer = _tele.active()
-            if tracer.enabled:
-                if start > release[chosen]:
+            if tracing:
+                where = {"device": member.device_id} if span_device else {}
+                if start > release:
                     tracer.record_span(
-                        "router.queue", release[chosen], start,
-                        layer="router", vm_id=chosen, policy="PoolScheduler",
-                        device=device_id,
+                        "router.queue", release, start,
+                        layer="router", vm_id=vm, policy=span_policy,
+                        **where,
                     )
                 tracer.record_span(
                     "device.compute", start, end, layer="device",
-                    vm_id=chosen, policy="PoolScheduler", op="pool",
-                    device=device_id,
+                    vm_id=vm, policy=span_policy, op=span_op, **where,
                 )
 
-            entry = stats[chosen]
+            # queueing (waiting behind other VMs' device time) and
+            # admission throttling (token-bucket delay) are different
+            # phenomena: report them separately, with total_wait kept
+            # as their sum for compatibility
+            entry = stats[vm]
             entry.completed += 1
             entry.device_time += nominal
             entry.finish_time = end
-            queue_wait = start - release[chosen]
-            throttle_wait = release[chosen] - next_submit[chosen]
+            queue_wait = start - release
+            throttle_wait = release - stream.submit
             entry.total_wait += queue_wait + throttle_wait
             entry.total_queue_wait += queue_wait
             entry.total_throttle_wait += throttle_wait
             entry.waits.append(queue_wait + throttle_wait)
             entry.queue_waits.append(queue_wait)
             entry.completions.append(end)
-            vm_items[chosen].append((end, nominal))
+            vm_items[vm].append((end, nominal))
 
-            dstats = device_stats[device_id]
+            dstats = member.stats
             dstats.busy_time += wall
             dstats.nominal_time += nominal
             dstats.completed += 1
             dstats.finish_time = end
-            dstats.vm_nominal[chosen] = (
-                dstats.vm_nominal.get(chosen, 0.0) + nominal
-            )
+            dstats.vm_nominal[vm] = dstats.vm_nominal.get(vm, 0.0) + nominal
 
-            index[chosen] += 1
-            if chosen in arrivals:
-                if remaining(chosen):
-                    next_submit[chosen] = arrivals[chosen][index[chosen]]
-            else:
-                next_submit[chosen] = end + item.think_time
-            release_cache[chosen] = None
+            stream.index += 1
+            if stream.arrivals is None:
+                stream.submit = end + item.think_time
+            elif stream.index < len(stream.items):
+                stream.submit = stream.arrivals[stream.index]
+            enqueue(stream)
 
+        device_stats = {m.device_id: m.stats for m in members}
         san = _sanitize.active()
         if san.enabled:
             # conservation: nominal device time billed to VMs must equal
@@ -669,7 +779,7 @@ class PoolScheduler:
             vm_stats=stats,
             device_stats=device_stats,
             placements={
-                vm: home[vm].device_id for vm in streams
+                vm: self.pool.assignments[vm].device_id for vm in streams
             },
             vm_items=vm_items,
             quota_dropped=quota_dropped,

@@ -2,8 +2,8 @@
 
 AvA's router "schedules execution at function call granularity" using
 resource-usage approximations from the spec (§4.3).  This module provides
-three policies over a shared device and a small discrete-event engine to
-evaluate them:
+three pick policies over a shared device, and :class:`ContendedDevice`
+to evaluate them on the pool engine:
 
 * :class:`FifoScheduler` — arrival order (no isolation),
 * :class:`RoundRobinScheduler` — alternate among VMs with ready work,
@@ -17,11 +17,12 @@ guest applications behave and what makes fairness measurable.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hypervisor.policy import RateLimiter, ResourcePolicy
-from repro.telemetry import tracer as _tele
 
 
 @dataclass
@@ -37,49 +38,92 @@ class WorkItem:
 
 
 class Scheduler:
-    """Policy interface: pick the next VM among those with ready work."""
+    """Pick policy of one device, driven incrementally by the engine.
 
-    def pick(self, ready: Sequence[str], usage: Dict[str, float]) -> str:
-        raise NotImplementedError
-
-    def weight_of(self, vm_id: str) -> float:
-        return 1.0
+    The engine tells the policy when a VM *enters* the device's ready
+    set (its next item is released), when it *leaves* without being
+    picked (another member stole the item), and how much nominal service
+    each VM was *charged*; :meth:`pick` then removes and returns the VM
+    whose item runs next.  Keeping the ready set inside the policy lets
+    each one index it for its own order instead of re-sorting every VM
+    on every event.
+    """
 
     def reset(self) -> None:
-        """Discard per-run state.  :meth:`ContendedDevice.run` calls this
-        at the start of every run so a scheduler instance can be reused
-        across runs without leaking rotation or virtual-time state."""
+        """Discard per-run state.  The engine calls this at the start
+        of every run so a scheduler instance can be reused across runs
+        without leaking rotation or virtual-time state."""
+
+    def enter(self, vm_id: str, release: float) -> None:
+        raise NotImplementedError
+
+    def leave(self, vm_id: str) -> None:
+        raise NotImplementedError
+
+    def charge(self, vm_id: str, service: float) -> None:
+        """``vm_id`` received ``service`` nominal seconds (default: the
+        policy ignores usage)."""
+
+    def pick(self) -> str:
+        raise NotImplementedError
 
 
 class FifoScheduler(Scheduler):
-    """No policy: whichever ready VM queued first (alphabetical tiebreak
-    on equal readiness — the engine passes streams in readiness order)."""
+    """No policy: whichever ready VM was released first (alphabetical
+    tiebreak on equal release times)."""
 
-    def pick(self, ready: Sequence[str], usage: Dict[str, float]) -> str:
-        return ready[0]
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        #: (release, vm) of ready VMs; entries of VMs that left since
+        #: are skipped lazily
+        self._heap: List[Tuple[float, str]] = []
+        self._release: Dict[str, float] = {}
+
+    def enter(self, vm_id: str, release: float) -> None:
+        self._release[vm_id] = release
+        heapq.heappush(self._heap, (release, vm_id))
+
+    def leave(self, vm_id: str) -> None:
+        del self._release[vm_id]
+
+    def pick(self) -> str:
+        while True:
+            release, vm = heapq.heappop(self._heap)
+            if self._release.get(vm) == release:
+                del self._release[vm]
+                return vm
 
 
 class RoundRobinScheduler(Scheduler):
     """Cycle through VMs with ready work."""
 
     def __init__(self) -> None:
-        self._last: Optional[str] = None
+        self.reset()
 
     def reset(self) -> None:
         # the rotation cursor is per-run state: without this, a second
         # run() on the same scheduler instance starts mid-rotation and
         # back-to-back runs of identical streams are not reproducible
-        self._last = None
+        self._last: Optional[str] = None
+        #: ready VMs, sorted by id
+        self._ready: List[str] = []
 
-    def pick(self, ready: Sequence[str], usage: Dict[str, float]) -> str:
-        ordered = sorted(ready)
-        if self._last is None:
-            choice = ordered[0]
-        else:
-            after = [vm for vm in ordered if vm > self._last]
-            choice = after[0] if after else ordered[0]
-        self._last = choice
-        return choice
+    def enter(self, vm_id: str, release: float) -> None:
+        bisect.insort(self._ready, vm_id)
+
+    def leave(self, vm_id: str) -> None:
+        del self._ready[bisect.bisect_left(self._ready, vm_id)]
+
+    def pick(self) -> str:
+        at = 0
+        if self._last is not None:
+            at = bisect.bisect_right(self._ready, self._last)
+            if at == len(self._ready):
+                at = 0
+        self._last = self._ready.pop(at)
+        return self._last
 
 
 class FairShareScheduler(Scheduler):
@@ -95,24 +139,39 @@ class FairShareScheduler(Scheduler):
     ``usage ≈ 0`` and monopolize the device until it "caught up" with
     incumbents.  The classic SFQ re-entry rule applies instead — a VM
     (re-)entering the ready set has its tag clamped up to the minimum
-    tag among already-ready VMs, so idle time earns no credit and a
-    late joiner competes only for its weighted share going forward.
+    tag among VMs that were ready at the previous pick, so idle time
+    earns no credit and a late joiner competes only for its weighted
+    share going forward.
+
+    Only VMs that joined the ready set since the last pick need work: a
+    VM that stays ready has neither executed nor been re-clamped, so its
+    tag sits unchanged in a heap.  Joiners fold the service charged
+    since they were last ready into their tag, and a per-VM stamp of the
+    last pick each VM was ready at tells an incumbent that just ran and
+    is ready again from a true re-entrant.
     """
 
     def __init__(self, policy: Optional[ResourcePolicy] = None) -> None:
         self.policy = policy or ResourcePolicy()
+        self.reset()
+
+    def reset(self) -> None:
         #: per-VM virtual-time tags (weighted accumulated device time,
         #: plus any re-entry clamps)
         self._tags: Dict[str, float] = {}
-        #: usage last observed per VM, to convert usage into tag deltas
+        #: service charged per VM, and the part already folded into tags
+        self._usage: Dict[str, float] = {}
         self._seen_usage: Dict[str, float] = {}
-        #: the ready set at the previous pick (re-entry detection)
-        self._prev_ready: frozenset = frozenset()
-
-    def reset(self) -> None:
-        self._tags.clear()
-        self._seen_usage.clear()
-        self._prev_ready = frozenset()
+        #: ready VM -> picks done when it joined
+        self._joined: Dict[str, int] = {}
+        #: (tag, vm, joined) of ready VMs; an entry is live while the VM
+        #: is still ready since that join
+        self._heap: List[Tuple[float, str, int]] = []
+        #: VMs that joined since the last pick, in join order
+        self._entered: Dict[str, None] = {}
+        #: VM -> number of the last pick it was ready at
+        self._last_ready: Dict[str, int] = {}
+        self._picks = 0
 
     def weight_of(self, vm_id: str) -> float:
         weight = self.policy.effective_weight(vm_id)
@@ -120,32 +179,58 @@ class FairShareScheduler(Scheduler):
             raise ValueError(f"weight for {vm_id!r} must be positive")
         return weight
 
-    def pick(self, ready: Sequence[str], usage: Dict[str, float]) -> str:
-        ordered = sorted(ready)
-        # fold device time accrued since the last pick into the tags
-        for vm in ordered:
-            used = usage.get(vm, 0.0)
-            if vm in self._tags:
+    def enter(self, vm_id: str, release: float) -> None:
+        self._joined[vm_id] = self._picks
+        self._entered[vm_id] = None
+
+    def leave(self, vm_id: str) -> None:
+        if self._joined.pop(vm_id) < self._picks:
+            self._last_ready[vm_id] = self._picks
+        self._entered.pop(vm_id, None)
+
+    def charge(self, vm_id: str, service: float) -> None:
+        self._usage[vm_id] = self._usage.get(vm_id, 0.0) + service
+
+    def _top(self) -> Optional[Tuple[float, str, int]]:
+        heap, joined = self._heap, self._joined
+        while heap and joined.get(heap[0][1]) != heap[0][2]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def pick(self) -> str:
+        tags = self._tags
+        entered = sorted(self._entered)
+        self._entered = {}
+        # fold device time charged since each joiner was last ready
+        for vm in entered:
+            used = self._usage.get(vm, 0.0)
+            if vm in tags:
                 delta = used - self._seen_usage.get(vm, 0.0)
                 if delta > 0:
-                    self._tags[vm] += delta / self.weight_of(vm)
+                    tags[vm] += delta / self.weight_of(vm)
             self._seen_usage[vm] = used
         # SFQ re-entry rule: the floor is the smallest tag among VMs
-        # that were already ready (falling back to the smallest existing
-        # tag when the whole ready set re-enters at once)
-        incumbents = [self._tags[vm] for vm in ordered
-                      if vm in self._tags and vm in self._prev_ready]
+        # that were already ready at the previous pick (falling back to
+        # the smallest existing tag when the whole ready set re-enters)
+        previous = self._picks
+        incumbents = [tags[vm] for vm in entered
+                      if vm in tags and self._last_ready.get(vm) == previous]
+        top = self._top()
+        if top is not None:
+            incumbents.append(top[0])
         if not incumbents:
-            incumbents = [self._tags[vm] for vm in ordered
-                          if vm in self._tags]
+            incumbents = [tags[vm] for vm in entered if vm in tags]
         floor = min(incumbents) if incumbents else 0.0
-        for vm in ordered:
-            if vm not in self._tags:
-                self._tags[vm] = floor
-            elif vm not in self._prev_ready:
-                self._tags[vm] = max(self._tags[vm], floor)
-        self._prev_ready = frozenset(ordered)
-        return min(ordered, key=lambda vm: (self._tags[vm], vm))
+        for vm in entered:
+            if vm not in tags:
+                tags[vm] = floor
+            elif self._last_ready.get(vm) != previous:
+                tags[vm] = max(tags[vm], floor)
+            heapq.heappush(self._heap, (tags[vm], vm, previous))
+        self._picks += 1
+        _, vm, _ = self._top()
+        self.leave(vm)
+        return vm
 
 
 @dataclass
@@ -181,10 +266,12 @@ class StreamStats:
 class ContendedDevice:
     """Discrete-event simulation of N closed-loop guests sharing a device.
 
-    The engine is deliberately simple: one non-preemptive device (AvA
-    schedules at call granularity — it cannot preempt a running kernel),
-    per-VM closed-loop streams, an optional router rate limiter applied
-    at submission, and a pluggable pick policy.
+    One non-preemptive device (AvA schedules at call granularity — it
+    cannot preempt a running kernel), per-VM closed-loop streams, an
+    optional router rate limiter applied at submission, and a pluggable
+    pick policy.  It runs on the pool engine
+    (:class:`~repro.hypervisor.pool.PoolScheduler`) as a 1-member
+    baseline pool whose member picks with ``scheduler``.
     """
 
     def __init__(
@@ -196,82 +283,20 @@ class ContendedDevice:
         self.rate_limiter = rate_limiter
 
     def run(self, streams: Dict[str, List[WorkItem]]) -> Dict[str, StreamStats]:
-        if not streams:
-            raise ValueError("no streams to schedule")
-        # schedulers are stateful (rotation cursor, virtual-time tags);
-        # a fresh run must not inherit a previous run's position
-        self.scheduler.reset()
-        stats = {vm: StreamStats(vm_id=vm) for vm in streams}
-        index = {vm: 0 for vm in streams}
-        next_submit = {vm: 0.0 for vm in streams}
-        usage: Dict[str, float] = {vm: 0.0 for vm in streams}
-        device_free = 0.0
-        # the rate limiter is stateful (token bucket): consult it exactly
-        # once per item, when the item becomes pending
-        release_cache: Dict[str, Optional[float]] = {vm: None
-                                                     for vm in streams}
+        from repro.hypervisor.pool import (
+            DeviceClass,
+            DevicePool,
+            PoolScheduler,
+        )
 
-        def remaining(vm: str) -> bool:
-            return index[vm] < len(streams[vm])
-
-        while any(remaining(vm) for vm in streams):
-            release = {}
-            for vm in streams:
-                if remaining(vm):
-                    if release_cache[vm] is None:
-                        submit = next_submit[vm]
-                        if self.rate_limiter is not None:
-                            submit = self.rate_limiter.next_allowed(
-                                vm, submit
-                            )
-                        release_cache[vm] = submit
-                    release[vm] = release_cache[vm]
-            ready = [vm for vm, t in release.items() if t <= device_free]
-            if not ready:
-                device_free = min(release.values())
-                ready = [vm for vm, t in release.items() if t <= device_free]
-            ready.sort(key=lambda vm: (release[vm], vm))
-            chosen = self.scheduler.pick(ready, usage)
-            item = streams[chosen][index[chosen]]
-            start = max(device_free, release[chosen])
-            end = start + item.duration
-            device_free = end
-            usage[chosen] += item.duration
-
-            tracer = _tele.active()
-            if tracer.enabled:
-                policy = type(self.scheduler).__name__
-                if start > release[chosen]:
-                    tracer.record_span(
-                        "router.queue", release[chosen], start,
-                        layer="router", vm_id=chosen, policy=policy,
-                    )
-                tracer.record_span(
-                    "device.compute", start, end, layer="device",
-                    vm_id=chosen, policy=policy, op="contended",
-                )
-
-            entry = stats[chosen]
-            entry.completed += 1
-            entry.device_time += item.duration
-            entry.finish_time = end
-            # queueing (waiting behind other VMs' device time) and
-            # admission throttling (token-bucket delay) are different
-            # phenomena: report them separately, with total_wait kept
-            # as their sum for compatibility
-            queue_wait = start - release[chosen]
-            throttle_wait = release[chosen] - next_submit[chosen]
-            entry.total_wait += queue_wait + throttle_wait
-            entry.total_queue_wait += queue_wait
-            entry.total_throttle_wait += throttle_wait
-            entry.waits.append(queue_wait + throttle_wait)
-            entry.queue_waits.append(queue_wait)
-            entry.completions.append(end)
-
-            index[chosen] += 1
-            next_submit[chosen] = end + item.think_time
-            release_cache[chosen] = None
-        return stats
+        pool = DevicePool.from_classes([DeviceClass.baseline_gpu()])
+        engine = PoolScheduler(pool, rate_limiter=self.rate_limiter)
+        result = engine._run(
+            streams, None, [self.scheduler],
+            span_policy=type(self.scheduler).__name__,
+            span_op="contended", span_device=False,
+        )
+        return result.vm_stats
 
 
 def jain_fairness(values: Sequence[float]) -> float:

@@ -407,3 +407,14 @@ class TestEngineEdgeCases:
         assert observed == pytest.approx(expected)
         for vm, entry in stats.items():
             assert entry.completed == len(streams[vm])
+
+    def test_transfer_bytes_occupy_the_device(self):
+        # ContendedDevice runs on the pool engine as a baseline member:
+        # a PoolWorkItem's transfer takes the baseline bandwidth
+        from repro.hypervisor.pool import BASELINE_TRANSFER_BPS, PoolWorkItem
+
+        stats = ContendedDevice(FifoScheduler()).run(
+            {"a": [PoolWorkItem(1e-3, transfer_bytes=12e6)]})
+        busy = 1e-3 + 12e6 / BASELINE_TRANSFER_BPS
+        assert stats["a"].device_time == pytest.approx(busy)
+        assert stats["a"].finish_time == pytest.approx(busy)
