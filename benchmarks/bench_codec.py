@@ -21,6 +21,7 @@ under 2x.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.remoting.codec import Command, Reply
 from repro.remoting.speccodec import SpecializedCodec
@@ -85,6 +86,16 @@ def _message_mix():
             )
             pairs.append((command, reply))
     return pairs
+
+
+def _traced(pairs):
+    """The mix as an installed tracer stamps it: trace context on every
+    command, the server span id on every reply."""
+    return [
+        (replace(command, trace_id="cava", span_id=2 * index + 1),
+         replace(reply, span_id=2 * index + 2))
+        for index, (command, reply) in enumerate(pairs)
+    ]
 
 
 def _roundtrip_rate(codec, pairs, repeats=5, rounds=30):
@@ -166,12 +177,20 @@ def test_gate():
 
     Fails when the specialized codec cannot sustain 2x the interpreted
     round-trip rate on the workload-shaped mix, or when any message in
-    the mix falls off the fast path.
+    the mix — or in its traced copy — falls off the fast path.
     """
-    _, interp_rate, spec_rate, snap = _measure()
+    pairs, interp_rate, spec_rate, snap = _measure()
     ratio = spec_rate / interp_rate
     print(f"\ncodec gate: interpreted {interp_rate:,.0f} rt/s, "
           f"specialized {spec_rate:,.0f} rt/s ({ratio:.2f}x)")
     assert ratio >= 2.0, f"specialized only {ratio:.2f}x interpreted"
     assert snap["fallback_encodes"] == 0
     assert snap["fallback_decodes"] == 0
+    traced = _traced(pairs)
+    spec = _specialized()
+    assert _checksum(spec, traced) == _checksum(InterpretedCodec(), traced)
+    _roundtrip_rate(spec, traced, repeats=1, rounds=1)
+    traced_snap = spec.snapshot()
+    assert traced_snap["fast_decodes"] == 2 * len(traced)
+    assert traced_snap["fallback_encodes"] == 0
+    assert traced_snap["fallback_decodes"] == 0

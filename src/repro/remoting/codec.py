@@ -221,6 +221,11 @@ def _checked(value: Any, types: Any, what: str) -> Any:
     return value
 
 
+def _optional(value: Any, types: Any, what: str) -> Any:
+    """:func:`_checked` for a field that may also be None."""
+    return None if value is None else _checked(value, types, what)
+
+
 def _buffer_dict(value: Any, what: str) -> Dict[str, bytes]:
     """Validate and normalize a dict of bulk byte payloads."""
     _checked(value, dict, what)
@@ -339,11 +344,15 @@ class Command:
 
     @classmethod
     def from_wire_dict(cls, data: Dict[str, Any]) -> "Command":
+        # the ids become parents of host spans: a str trace id and int
+        # span ids (or None) only, never whatever the guest sent
         trace = data.get("tr")
         if trace is None:
             trace = (None, None)
         elif not isinstance(trace, (list, tuple)) or len(trace) != 2:
             raise CodecError(f"malformed trace context {trace!r}")
+        _optional(trace[0], str, "command trace id")
+        _optional(trace[1], int, "command span id")
         try:
             command = cls(
                 seq=_checked(data["seq"], int, "command seq"),
@@ -437,7 +446,7 @@ class Reply:
                 callbacks=_checked(data.get("cbs", []), list, "reply cbs"),
                 error=error,
                 complete_time=_checked(data["t"], (int, float), "reply t"),
-                span_id=data.get("tr"),
+                span_id=_optional(data.get("tr"), int, "reply span id"),
             )
         except KeyError as missing:
             raise CodecError(f"reply missing field {missing}") from None

@@ -10,11 +10,16 @@ appends straight into one growing frame allocation
 decode slices a single ``memoryview`` over the frame so bulk
 ``in``-buffers reach the worker zero-copy.
 
+Trace context is part of the layout: a traced command is the 11-key
+dict whose last entry is ``tr`` = ``[trace_id, span_id]``, a traced
+reply the 9-key dict ending in ``tr`` = ``span_id``, so frames stamped
+by an installed tracer stay on the compiled path.
+
 **Byte identity is the contract.**  For every message the fast path
 encodes, the emitted bytes equal the interpreted encoder's exactly;
-whenever a message strays from the generated layout — trace context
-attached, cached refs, a bool where an int belongs, an unknown key, a
-truncated or hostile frame — the driver raises the internal
+whenever a message strays from the generated layout — cached refs, a
+trace id that is not a str, a bool where an int belongs, an unknown
+key, a truncated or hostile frame — the driver raises the internal
 :class:`_Fallback` and :class:`SpecializedCodec` re-runs the
 interpreted path on the original input.  The fast path therefore
 inherits every :class:`~repro.remoting.codec.CodecError` guarantee of
@@ -177,7 +182,6 @@ class CommandTable:
         self.api = api
         self.fn = fn
         # --- encode-side constants (key bytes, tags folded in) ---
-        self.head = b"M" + _U32.pack(10) + _key("seq") + b"I"
         self.vm_key = _key("vm") + b"S"
         self.api_fn = (_key("api") + _s(api) + _key("fn") + _s(fn))
         self.mode_sync = _key("mode") + _s("sync")
@@ -234,7 +238,6 @@ class ReplyTable:
         if ret not in ("scalar", "handle", "none"):
             raise ValueError(f"unknown return kind {ret!r}")
         self.ret = ret
-        self.head = b"M" + _U32.pack(8) + _key("seq") + b"I"
         self.ret_key = _key("ret")
         self.outs_key = _key("outs") + b"M"
         self.outkey = {n: _key(n) for n in outs}
@@ -272,6 +275,19 @@ class ReplyTable:
 # encode drivers
 # ---------------------------------------------------------------------------
 
+#: body prefix every well-formed single command shares:
+#: M dict(10), key "seq", I — dict(11) when it carries trace context
+_CMD_PREFIX = b"M" + _U32.pack(10) + _key("seq") + b"I"
+_CMD_PREFIX_TR = b"M" + _U32.pack(11) + _key("seq") + b"I"
+#: the same for a single reply: dict(8), dict(9) when traced
+_REPLY_PREFIX = b"M" + _U32.pack(8) + _key("seq") + b"I"
+_REPLY_PREFIX_TR = b"M" + _U32.pack(9) + _key("seq") + b"I"
+#: the trace-context entry after ``t``: a command's [trace_id, span_id]
+#: pair, a reply's bare span id
+_TR_KEY = _key("tr")
+_TR_PAIR = _TR_KEY + b"L" + _U32.pack(2)
+_TR_KEY_I = _TR_KEY + b"I"
+
 
 def _enc_time(cur: bytearray, value: Any) -> None:
     kind = type(value)
@@ -306,6 +322,12 @@ def _enc_plain(cur: bytearray, value: Any) -> None:
             cur += _TI64.pack(b"I", item)
     else:
         raise _Fallback
+
+
+def _trace_ok(trace_id: Any, span_id: Any) -> bool:
+    """The trace-context shapes the layout carries (bool is no int)."""
+    return ((trace_id is None or type(trace_id) is str)
+            and (span_id is None or type(span_id) is int))
 
 
 def _enc_kinded(cur: bytearray, value: Any, kind: str) -> None:
@@ -364,13 +386,16 @@ def _enc_kinded(cur: bytearray, value: Any, kind: str) -> None:
 def _enc_command_body(builder: FrameBuilder, command: Command,
                       table: CommandTable) -> None:
     """The command's wire dict, byte-identical to the interpreted path."""
-    if (command.trace_id is not None or command.span_id is not None
-            or command.cached_refs):
+    if command.cached_refs:
         raise _Fallback
     if type(command.seq) is not int or type(command.vm_id) is not str:
         raise _Fallback
+    trace_id, span_id = command.trace_id, command.span_id
+    traced = trace_id is not None or span_id is not None
+    if traced and not _trace_ok(trace_id, span_id):
+        raise _Fallback
     cur = builder.cur
-    cur += table.head
+    cur += _CMD_PREFIX_TR if traced else _CMD_PREFIX
     cur += _I64.pack(command.seq)
     cur += table.vm_key
     vm = command.vm_id.encode("utf-8")
@@ -468,16 +493,20 @@ def _enc_command_body(builder: FrameBuilder, command: Command,
     else:
         cur += table.t_key
         _enc_time(cur, issue_time)
+    if traced:
+        cur += _TR_PAIR
+        _enc_plain(cur, trace_id)
+        _enc_plain(cur, span_id)
 
 
 def _enc_reply_body(cur: bytearray, reply: Reply,
                     table: ReplyTable) -> None:
-    if (reply.span_id is not None or reply.error is not None
-            or reply.callbacks):
+    if reply.error is not None or reply.callbacks:
         raise _Fallback
-    if type(reply.seq) is not int:
+    span_id = reply.span_id
+    if type(reply.seq) is not int or not _trace_ok(None, span_id):
         raise _Fallback
-    cur += table.head
+    cur += _REPLY_PREFIX if span_id is None else _REPLY_PREFIX_TR
     cur += _I64.pack(reply.seq)
     value = reply.return_value
     if value is None:  # the two dominant return shapes, inlined
@@ -543,15 +572,15 @@ def _enc_reply_body(cur: bytearray, reply: Reply,
         cur += table.cbs0_err_none
         cur += table.t_key
         _enc_time(cur, complete_time)
+    if span_id is not None:
+        cur += _TR_KEY_I
+        cur += _I64.pack(span_id)
 
 
 # ---------------------------------------------------------------------------
 # decode drivers (all reads bounds-checked against the frame end)
 # ---------------------------------------------------------------------------
 
-#: body prefix every well-formed single command shares:
-#: M dict(10), key "seq", I
-_CMD_PREFIX = b"M" + _U32.pack(10) + _key("seq") + b"I"
 _VM_KEY = _key("vm") + b"S"
 _API_KEY = _key("api") + b"S"
 _FN_KEY = _key("fn") + b"S"
@@ -561,6 +590,9 @@ _T_KEY = _key("t")
 _RB_PREFIX = b"M" + _U32.pack(2) + _key("replies") + b"L"
 
 _LP = len(_CMD_PREFIX)
+_LRP = len(_REPLY_PREFIX)
+_LTR = len(_TR_KEY)
+_LTRP = len(_TR_PAIR)
 _LVM = len(_VM_KEY)
 _LAPI = len(_API_KEY)
 _LFN = len(_FN_KEY)
@@ -699,15 +731,20 @@ def _dec_section(data: bytes, o: int, end: int, key_const: bytes,
 
 def _scan_command(data: bytes, o: int, end: int,
                   wire_tables: Dict[bytes, Any],
-                  ) -> Tuple[Any, int, str, int]:
+                  ) -> Tuple[Any, int, str, bool, int]:
     """Parse the static command prefix; look up the function's tables.
 
     ``wire_tables`` is keyed by the raw ``api``+``fn`` wire region
     (each table's ``api_fn`` constant), so the lookup needs no utf-8
     decode and no tuple allocation.  Returns ``(entry, seq, vm_id,
-    offset)`` with ``offset`` positioned at the ``mode`` key.
+    traced, offset)`` with ``offset`` positioned at the ``mode`` key
+    and ``traced`` telling whether the dict ends in a ``tr`` entry.
     """
-    if not data.startswith(_CMD_PREFIX, o):
+    if data.startswith(_CMD_PREFIX, o):
+        traced = False
+    elif data.startswith(_CMD_PREFIX_TR, o):
+        traced = True
+    else:
         raise _Fallback
     o += _LP
     seq = _I64.unpack_from(data, o)[0]
@@ -727,11 +764,11 @@ def _scan_command(data: bytes, o: int, end: int,
     entry = wire_tables.get(data[region:o])
     if entry is None:
         raise _Fallback
-    return entry, seq, vm_id, o
+    return entry, seq, vm_id, traced, o
 
 
 def _dec_command_rest(data: bytes, o: int, end: int, table: CommandTable,
-                      seq: int, vm_id: str,
+                      seq: int, vm_id: str, traced: bool,
                       mv: memoryview) -> Tuple[Command, int]:
     lms = len(table.mode_sync)
     lma = len(table.mode_async)
@@ -837,6 +874,14 @@ def _dec_command_rest(data: bytes, o: int, end: int, table: CommandTable,
         o += 9
     else:
         raise _Fallback
+    trace_id = span_id = None
+    if traced:
+        if not data.startswith(_TR_PAIR, o):
+            raise _Fallback
+        trace_id, o = _dec_plain(data, o + _LTRP, end)
+        span_id, o = _dec_plain(data, o, end)
+        if not _trace_ok(trace_id, span_id):
+            raise _Fallback
     # dataclass __init__ re-runs default factories; the fields are all
     # in hand, so build the instance dict directly
     command = Command.__new__(Command)
@@ -845,17 +890,20 @@ def _dec_command_rest(data: bytes, o: int, end: int, table: CommandTable,
         "function": table.fn, "mode": mode, "scalars": scalars,
         "handles": handles, "in_buffers": in_buffers,
         "out_sizes": out_sizes, "cached_refs": {},
-        "issue_time": issue_time, "trace_id": None, "span_id": None,
+        "issue_time": issue_time, "trace_id": trace_id, "span_id": span_id,
     }
     return command, o
 
 
 def _dec_reply_body(data: bytes, o: int, end: int, table: ReplyTable,
                     mv: memoryview) -> Tuple[Reply, int]:
-    lh = len(table.head)
-    if not data.startswith(table.head, o):
+    if data.startswith(_REPLY_PREFIX, o):
+        traced = False
+    elif data.startswith(_REPLY_PREFIX_TR, o):
+        traced = True
+    else:
         raise _Fallback
-    o += lh
+    o += _LRP
     seq = _I64.unpack_from(data, o)[0]
     o += 8
     lk = len(table.ret_key_i)
@@ -995,13 +1043,20 @@ def _dec_reply_body(data: bytes, o: int, end: int, table: ReplyTable,
         o += 9
     else:
         raise _Fallback
+    span_id = None
+    if traced:
+        if not data.startswith(_TR_KEY, o):
+            raise _Fallback
+        span_id, o = _dec_plain(data, o + _LTR, end)
+        if not _trace_ok(None, span_id):
+            raise _Fallback
     # dataclass __init__ re-runs default factories; build directly
     reply = Reply.__new__(Reply)
     reply.__dict__ = {
         "seq": seq, "return_value": return_value,
         "out_payloads": out_payloads, "out_scalars": out_scalars,
         "new_handles": new_handles, "callbacks": [], "error": None,
-        "complete_time": complete_time, "span_id": None,
+        "complete_time": complete_time, "span_id": span_id,
     }
     return reply, o
 
@@ -1081,8 +1136,9 @@ def _dec_command_frame(wire_tables: Dict[bytes, Any],
     if magic != _codec._COMMAND_MAGIC:
         raise _Fallback
     mv = memoryview(data)
-    entry, seq, vm_id, o = _scan_command(data, 6, end, wire_tables)
-    command, o = _dec_command_rest(data, o, end, entry[0], seq, vm_id, mv)
+    entry, seq, vm_id, traced, o = _scan_command(data, 6, end, wire_tables)
+    command, o = _dec_command_rest(data, o, end, entry[0], seq, vm_id,
+                                   traced, mv)
     if o != end:
         raise _Fallback
     return command
@@ -1109,9 +1165,10 @@ def _dec_batch_frame(wire_tables: Dict[bytes, Any],
         raise _Fallback
     commands: List[Command] = []
     for _ in range(count):
-        entry, seq, cmd_vm, o = _scan_command(data, o, end, wire_tables)
+        entry, seq, cmd_vm, traced, o = _scan_command(data, o, end,
+                                                      wire_tables)
         command, o = _dec_command_rest(data, o, end, entry[0], seq,
-                                       cmd_vm, mv)
+                                       cmd_vm, traced, mv)
         commands.append(command)
     lk = len(_T_KEY)
     if not data.startswith(_T_KEY, o):

@@ -6,14 +6,18 @@ the paper's workflow: parse the shipped specifications, run CAvA, and
 wire the generated modules into a hypervisor with simulated devices.
 
 Generated stacks are cached per process — the generator is fast, but
-tests create many hypervisors.
+tests create many hypervisors.  Without an explicit ``out_dir`` they
+are generated into ``<tmp>/cava_generated_<pid>``, which is removed
+when the process exits.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import tempfile
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.codegen.generator import GeneratedStack, generate_api
 from repro.guest.batching import BatchPolicy
@@ -34,6 +38,9 @@ from repro.spec import parse_spec_file
 from repro.spec.model import ApiSpec
 
 _STACK_CACHE: Dict[str, GeneratedStack] = {}
+
+#: pids whose default generation directory has its exit cleanup armed
+_CLEANUP_ARMED: Set[int] = set()
 
 NATIVE_MODULES = {
     "opencl": "repro.opencl.api",
@@ -99,6 +106,22 @@ def load_spec(api_name: str) -> ApiSpec:
     return parse_spec_file(path)
 
 
+def _remove_owned_dir(path: str, owner_pid: int) -> None:
+    # a forked child inherits exit handlers; only the owner removes
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+def _default_out_dir() -> str:
+    """This process's generation directory, removed at its exit."""
+    pid = os.getpid()
+    path = os.path.join(tempfile.gettempdir(), f"cava_generated_{pid}")
+    if pid not in _CLEANUP_ARMED:
+        _CLEANUP_ARMED.add(pid)
+        atexit.register(_remove_owned_dir, path, pid)
+    return path
+
+
 def build_stack(api_name: str, out_dir: Optional[str] = None,
                 refresh: bool = False) -> GeneratedStack:
     """Generate (or fetch the cached) stack for a shipped API."""
@@ -108,10 +131,7 @@ def build_stack(api_name: str, out_dir: Optional[str] = None,
     if native is None:
         raise KeyError(f"no native module known for API {api_name!r}")
     spec = load_spec(api_name)
-    target = out_dir or os.path.join(
-        tempfile.gettempdir(), f"cava_generated_{os.getpid()}"
-    )
-    stack = generate_api(spec, target, native)
+    stack = generate_api(spec, out_dir or _default_out_dir(), native)
     _STACK_CACHE[api_name] = stack
     return stack
 

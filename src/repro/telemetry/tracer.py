@@ -33,6 +33,7 @@ Layers: ``guest``, ``transport``, ``router``, ``server``, ``device``.
 from __future__ import annotations
 
 import contextlib
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -47,7 +48,11 @@ class TracerError(Exception):
     """Invalid tracer operation (e.g. ending a span twice)."""
 
 
-@dataclass
+#: ``slots`` needs Python 3.10; on 3.9 Span keeps an instance dict
+_SLOTS: Dict[str, Any] = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**_SLOTS)
 class Span:
     """One timed interval on the virtual timeline."""
 
@@ -166,27 +171,43 @@ class Tracer:
         ``vm_id``/``api``/``function`` inherit from the enclosing open
         span when omitted.
         """
-        top = self._stack[-1] if self._stack else None
-        if parent_id is _INHERIT:
-            parent_id = top.span_id if top is not None else None
-        if top is not None:
-            vm_id = vm_id if vm_id is not None else top.vm_id
-            api = api if api is not None else top.api
-            function = function if function is not None else top.function
-        span = Span(
-            trace_id=self.trace_id,
-            span_id=self._new_id(),
-            parent_id=parent_id,
-            name=name,
-            layer=layer,
-            kind=kind,
-            vm_id=vm_id,
-            api=api,
-            function=function,
-            start=start,
-            attrs=dict(attrs),
-        )
+        span = self._new_span(name, start, None, layer, kind, vm_id, api,
+                              function, parent_id, attrs)
         self._stack.append(span)
+        return span
+
+    def _new_span(self, name: str, start: float, end: Optional[float],
+                  layer: str, kind: str, vm_id: Optional[str],
+                  api: Optional[str], function: Optional[str],
+                  parent_id: Any, attrs: Dict[str, Any]) -> Span:
+        """A span parented and labelled from the innermost open span.
+
+        ``attrs`` is adopted, not copied: callers pass the fresh
+        ``**attrs`` dict of their own call.
+        """
+        stack = self._stack
+        if stack:
+            top = stack[-1]
+            if parent_id is _INHERIT:
+                parent_id = top.span_id
+            if vm_id is None:
+                vm_id = top.vm_id
+            if api is None:
+                api = top.api
+            if function is None:
+                function = top.function
+        elif parent_id is _INHERIT:
+            parent_id = None
+        return Span(self.trace_id, self._new_id(), parent_id, name, layer,
+                    kind, vm_id, api, function, start, end, attrs)
+
+    def _finish(self, span: Span) -> Span:
+        """Record a completed span and feed it to metrics and sinks."""
+        self.spans.append(span)
+        if self.metrics is not None:
+            self.metrics.ingest(span)
+        for sink in self._sinks:
+            sink.ingest(span)
         return span
 
     def end_span(self, span: Optional[Span], end: float,
@@ -203,12 +224,7 @@ class Tracer:
             if self._stack[index] is span:
                 del self._stack[index]
                 break
-        self.spans.append(span)
-        if self.metrics is not None:
-            self.metrics.ingest(span)
-        for sink in self._sinks:
-            sink.ingest(span)
-        return span
+        return self._finish(span)
 
     def record_span(
         self,
@@ -225,11 +241,9 @@ class Tracer:
         **attrs: Any,
     ) -> Span:
         """Record an already-completed span (never left on the stack)."""
-        span = self.start_span(
-            name, start, layer=layer, kind=kind, vm_id=vm_id, api=api,
-            function=function, parent_id=parent_id, **attrs,
-        )
-        return self.end_span(span, end)
+        return self._finish(self._new_span(
+            name, start, end, layer, kind, vm_id, api, function,
+            parent_id, attrs))
 
     @contextlib.contextmanager
     def span(self, name: str, clock: Any, **kwargs: Any) -> Iterator[Span]:

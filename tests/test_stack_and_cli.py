@@ -1,6 +1,8 @@
 """Tests for the deployment helper and the ``cava`` CLI workflow."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -53,6 +55,24 @@ class TestStack:
         hv = make_hypervisor(apis=("opencl",))
         with pytest.raises(ValueError):
             hv.create_vm("vm-t", transport="carrier-pigeon")
+
+    def test_default_generation_dir_removed_at_exit(self, tmp_path):
+        # a child process generates into <tmp>/cava_generated_<pid>
+        # (with TMPDIR pointing at tmp_path) and reports the path; once
+        # it has exited, the directory must be gone
+        script = ("import os; from repro.stack import build_stack; "
+                  "path = build_stack('qat').out_dir; "
+                  "assert os.listdir(path), path; print(path)")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        path = done.stdout.strip().splitlines()[-1]
+        assert os.path.basename(path).startswith("cava_generated_")
+        assert os.path.dirname(path) == str(tmp_path)
+        assert not os.path.exists(path)
 
     def test_destroy_vm(self):
         hv = make_hypervisor(apis=("opencl",))

@@ -95,6 +95,64 @@ class TestTracer:
         assert shares["device"] == pytest.approx(2.0)
 
 
+class _Collect:
+    def __init__(self):
+        self.seen = []
+
+    def ingest(self, span):
+        self.seen.append(span)
+
+
+def _start_end(tracer, name, start, end, **kwargs):
+    """``record_span`` as the start + end composition it replaces."""
+    return tracer.end_span(tracer.start_span(name, start, **kwargs), end)
+
+
+class TestRecordSpan:
+    def _script(self, record):
+        tracer = Tracer(metrics=MetricsRegistry())
+        sink = _Collect()
+        tracer.add_sink(sink)
+        record(tracer, "bare", 0.0, 0.5)
+        record(tracer, "rooted", 0.1, 0.2, vm_id="vm0", parent_id=None,
+               layer="router", bytes=3)
+        outer = tracer.start_span("clFinish", 1.0, kind="function",
+                                  vm_id="vm1", api="opencl",
+                                  function="clFinish", mode="sync")
+        record(tracer, "marshal", 1.0, 1.5, payload_bytes=64)
+        record(tracer, "dispatch", 1.1, 1.4, layer="server",
+               parent_id=77, api="other", function="f2")
+        record(tracer, "host", 1.2, 1.3, vm_id="vm2", parent_id=None)
+        inner = tracer.start_span("nested", 1.5, layer="transport")
+        record(tracer, "leaf", 1.6, 1.7, layer="device", kind="op")
+        tracer.end_span(inner, 1.8)
+        tracer.end_span(outer, 2.0, error=False)
+        registry = tracer.metrics.vms["vm1"]
+        function = registry.functions["clFinish"]
+        return (tracer.spans, sink.seen, tracer.current(),
+                registry.layer_spans, function.calls,
+                function.latency.samples, tracer._next_id)
+
+    def test_record_span_equals_start_end_composition(self):
+        direct = self._script(
+            lambda tracer, *args, **kwargs: tracer.record_span(*args,
+                                                               **kwargs))
+        composed = self._script(_start_end)
+        assert direct == composed
+        spans = direct[0]
+        marshal = next(s for s in spans if s.name == "marshal")
+        assert (marshal.vm_id, marshal.api, marshal.function) == (
+            "vm1", "opencl", "clFinish")
+        assert marshal.parent_id == spans[-1].span_id
+        assert marshal.attrs == {"payload_bytes": 64}
+
+    def test_record_span_keeps_no_stack_entry(self):
+        tracer = Tracer()
+        outer = tracer.start_span("call", 0.0)
+        tracer.record_span("op", 0.0, 1.0)
+        assert tracer.current() is outer
+
+
 class TestWirePropagation:
     def test_command_trace_fields_round_trip(self):
         command = Command(seq=7, vm_id="vm1", api="a", function="f",
@@ -231,6 +289,73 @@ class TestEndToEndTrace:
         assert telemetry.rate_delay == 0.25
         assert telemetry.resources["bus_bytes"] == 128.0
         assert telemetry.calls > 0  # span-derived counters still there
+
+
+def _registry_state(registry):
+    return {
+        vm_id: (
+            {name: (f.calls, f.errors, f.sync_calls, f.async_calls,
+                    f.payload_bytes, f.retries, f.latency.samples,
+                    f.latency.count, f.latency.total)
+             for name, f in vm.functions.items()},
+            vm.layer_spans,
+        )
+        for vm_id, vm in registry.vms.items()
+    }
+
+
+def _span_key(span):
+    return (span.name, span.layer, span.kind, span.trace_id, span.span_id,
+            span.parent_id, span.vm_id, span.api, span.function,
+            span.start, span.end, span.attrs)
+
+
+class TestTracedCodecDifferential:
+    """Tracing keeps the compiled codec, and the codec changes nothing
+    the tracer sees: a traced run under the specialized codec equals
+    the same run under the interpreted one, span for span."""
+
+    @pytest.fixture(scope="class", params=["nw", "gaussian"])
+    def runs(self, request):
+        from repro.stack import make_hypervisor
+        from repro.workloads import GaussianWorkload, NWWorkload
+
+        workload = {"nw": NWWorkload, "gaussian": GaussianWorkload}[
+            request.param]
+        result = {}
+        for codec in ("specialized", "interpreted"):
+            hypervisor = make_hypervisor(apis=("opencl",), codec=codec)
+            tracer = Tracer(metrics=MetricsRegistry())
+            measurement = run_virtualized(workload(scale=0.25),
+                                          hypervisor=hypervisor,
+                                          tracer=tracer)
+            result[codec] = (measurement, tracer, hypervisor.router.codec)
+        return result
+
+    def test_span_streams_identical(self, runs):
+        fast = [_span_key(s) for s in runs["specialized"][1].all_spans()]
+        slow = [_span_key(s) for s in runs["interpreted"][1].all_spans()]
+        assert len(fast) > 1000
+        assert fast == slow
+
+    def test_virtual_results_identical(self, runs):
+        fast, slow = runs["specialized"][0], runs["interpreted"][0]
+        assert fast.verified and slow.verified
+        assert fast.runtime == slow.runtime
+        assert fast.accounts == slow.accounts
+        assert (fast.calls_sync, fast.calls_async) == (
+            slow.calls_sync, slow.calls_async)
+
+    def test_registries_identical(self, runs):
+        fast = runs["specialized"][1].metrics
+        slow = runs["interpreted"][1].metrics
+        assert _registry_state(fast) == _registry_state(slow)
+
+    def test_specialized_never_falls_back(self, runs):
+        snap = runs["specialized"][2].snapshot()
+        assert snap["fast_encodes"] > 0 and snap["fast_decodes"] > 0
+        assert snap["fallback_encodes"] == 0
+        assert snap["fallback_decodes"] == 0
 
 
 class TestZeroCostWhenOff:
